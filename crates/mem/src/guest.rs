@@ -33,7 +33,7 @@ const HEAP_LIMIT: u64 = 16 << 30;
 /// mem.write_u64(node + 8, 0x22).unwrap();
 /// assert_eq!(mem.read_u64(node + 8).unwrap(), 0x22);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GuestMem {
     phys: PhysMem,
     space: AddressSpace,
@@ -45,6 +45,30 @@ pub struct GuestMem {
     /// stale-empty but never wrong. Purely functional: the *timing* models
     /// keep their own TLBs.
     last_xlate: Cell<(u64, u64)>,
+}
+
+impl Clone for GuestMem {
+    fn clone(&self) -> Self {
+        GuestMem {
+            phys: self.phys.clone(),
+            space: self.space.clone(),
+            frames: self.frames.clone(),
+            brk: self.brk,
+            last_xlate: self.last_xlate.clone(),
+        }
+    }
+
+    /// Makes `self` equal to `source` in `self`'s existing buffers — the
+    /// restore path of snapshot/revert. Restoring a snapshot over an image
+    /// it was restored into before copies only the frames written since
+    /// (see [`PhysMem`]).
+    fn clone_from(&mut self, source: &Self) {
+        self.phys.clone_from(&source.phys);
+        self.space.clone_from(&source.space);
+        self.frames.clone_from(&source.frames);
+        self.brk = source.brk;
+        self.last_xlate.set(source.last_xlate.get());
+    }
 }
 
 impl GuestMem {
@@ -242,12 +266,19 @@ impl GuestMem {
         Ok(v)
     }
 
-    /// FNV-1a digest of the full guest state: the materialized physical
-    /// image (in frame-number order), the heap break, and the allocator
-    /// position. Two guests with equal digests read identically at every
-    /// address and continue allocating identically — the serialized-state
-    /// comparison the snapshot/revert machinery pins its semantics on.
-    /// A [`Clone`] always digests equal to its source.
+    /// Digest of the full guest state: a page-hash fold of the materialized
+    /// physical image (each touched frame's PFN and cached content hash, in
+    /// frame-number order; see [`PhysMem::digest`]), then an FNV-1a fold of
+    /// the heap break and the allocator position. Two guests with equal
+    /// digests read identically at every address and continue allocating
+    /// identically — the serialized-state comparison the snapshot/revert
+    /// machinery pins its semantics on. A [`Clone`] always digests equal to
+    /// its source.
+    ///
+    /// The cost is the frames written since the previous digest of this
+    /// image (or of the image it was cloned from), plus one fold step per
+    /// resident frame. The value is an opaque fingerprint: compare digests
+    /// for equality, never against a stored literal.
     pub fn state_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -262,6 +293,12 @@ impl GuestMem {
             }
         }
         h
+    }
+
+    /// How many frames the most recent [`GuestMem::state_digest`] had to
+    /// rehash — an exact, host-independent count of the digest's work.
+    pub fn last_digest_rehashed(&self) -> usize {
+        self.phys.last_digest_rehashed()
     }
 
     /// Compares `len` guest bytes at `va` against `expect` (the comparator

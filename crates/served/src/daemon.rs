@@ -765,6 +765,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_value_insert_is_rejected_and_the_daemon_keeps_serving() {
+        let mut s = state();
+        let built = ok_line(
+            &mut s,
+            "\"op\":\"build\",\"session\":\"z\",\"kind\":\"jvm-gc\",\"p0\":500,\"p1\":20",
+        );
+        let e = err_line(
+            &mut s,
+            "\"op\":\"mutate\",\"session\":\"z\",\"action\":\"insert\",\"key\":\"k\",\"value\":0",
+        );
+        assert!(e.contains("value 0 is reserved"), "{e}");
+        ok_line(&mut s, "\"op\":\"ping\"");
+        let d = ok_line(&mut s, "\"op\":\"digest\",\"session\":\"z\"");
+        assert_eq!(field_u64(&d, "digest"), field_u64(&built, "digest"));
+    }
+
+    #[test]
     fn served_runs_work_over_the_protocol() {
         let mut s = state();
         ok_line(

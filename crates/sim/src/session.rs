@@ -19,6 +19,10 @@
 //!   workload's [`StructureMutator`] handle, so reverting undoes mutations
 //!   exactly: the structure bytes, the header epoch, and the mutator's
 //!   cached state (skip-list level RNG, B+-tree height) all roll back;
+//! * [`SimSession::state_digest`] — a page-hash fingerprint of the live
+//!   image. Frame hashes are cached in the image and travel with every
+//!   clone, so a digest after a snapshot, a restore or a forked run rehashes
+//!   nothing, and one after a mutation rehashes only the frames it wrote;
 //! * [`SimSession::query`] / [`SimSession::mutate_insert`] /
 //!   [`SimSession::mutate_remove`] — single-operation interactive
 //!   submissions against the live image, for daemons and REPL-style use.
@@ -73,7 +77,7 @@ pub struct SimSnapshot {
 
 impl SimSnapshot {
     /// Content digest of the snapshotted guest image (see
-    /// [`qei_mem::GuestMem::state_digest`]).
+    /// [`qei_mem::GuestMem::state_digest`]), taken when the snapshot was.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -202,7 +206,10 @@ impl SimSession {
         self.mutator.is_some()
     }
 
-    /// FNV-1a digest of the live guest image and its allocator state.
+    /// Digest of the live guest image and its allocator state (see
+    /// [`qei_mem::GuestMem::state_digest`]): a page-hash fold that costs the
+    /// frames written since the previous digest. An opaque fingerprint —
+    /// equal digests mean equal state; the values themselves mean nothing.
     pub fn state_digest(&self) -> u64 {
         self.system.guest().state_digest()
     }
@@ -294,10 +301,13 @@ impl SimSession {
     /// Captures the session's mutable state: the guest image and the
     /// mutator handle, with a content digest for cheap comparison.
     pub fn snapshot(&self) -> SimSnapshot {
+        // Digest before cloning: the snapshot then carries warm frame
+        // hashes, and every restore from it digests without rehashing.
+        let digest = self.state_digest();
         SimSnapshot {
             guest: self.system.guest().clone(),
             mutator: self.mutator.as_ref().map(|m| m.clone_box()),
-            digest: self.state_digest(),
+            digest,
         }
     }
 
@@ -306,7 +316,7 @@ impl SimSession {
     /// reverted ones never happened. The interactive lane is dropped — its
     /// cache/TLB timing state described the abandoned timeline.
     pub fn restore(&mut self, snapshot: &SimSnapshot) {
-        *self.system.guest_mut() = snapshot.guest.clone();
+        self.system.guest_mut().clone_from(&snapshot.guest);
         self.mutator = snapshot.mutator.as_ref().map(|m| m.clone_box());
         self.interactive = None;
     }
@@ -359,8 +369,9 @@ impl SimSession {
     ///
     /// # Errors
     ///
-    /// When the workload exposes no mutable structure, or the structure
-    /// rejects the mutation (full, guest memory exhausted).
+    /// When the workload exposes no mutable structure, `value` is 0 (every
+    /// structure reads 0 as "absent", so it cannot be stored), or the
+    /// structure rejects the mutation (full, guest memory exhausted).
     pub fn mutate_insert(&mut self, key: &[u8], value: u64) -> Result<(), String> {
         let Some(m) = self.mutator.as_mut() else {
             return Err(format!(
@@ -368,6 +379,13 @@ impl SimSession {
                 self.workload.name()
             ));
         };
+        if value == 0 {
+            return Err(
+                "value 0 is reserved: every mutable structure returns 0 for an absent key, \
+                 so a stored 0 would read as a miss"
+                    .to_string(),
+            );
+        }
         m.insert(self.system.guest_mut(), key, value)
             .map_err(|e| e.to_string())
     }
@@ -533,6 +551,86 @@ mod tests {
         );
         assert_eq!(a.lookup(&ky), Some(22));
         assert_eq!(a.lookup(&kx), Some(0));
+    }
+
+    /// Digest work is an exact frame count, so it is gated exactly: on the
+    /// paper-scale JVM suite spec, a repeated digest, a restore and a forked
+    /// run rehash nothing, and one insert rehashes only what it wrote.
+    #[test]
+    fn digests_rehash_only_frames_written_since_the_last_digest() {
+        let spec = WorkloadSpec::new(
+            0xD2,
+            2,
+            WorkloadKind::JvmGc {
+                objects: 150_000,
+                queries: 1_500,
+            },
+        );
+        let mut session = SimSession::build(MachineConfig::skylake_sp_24(), spec);
+        let digest0 = session.state_digest();
+        let resident = session.system.guest().last_digest_rehashed();
+        assert!(resident > 1_000, "the first digest hashes the whole image");
+
+        assert_eq!(session.state_digest(), digest0);
+        assert_eq!(
+            session.system.guest().last_digest_rehashed(),
+            0,
+            "unchanged image"
+        );
+
+        let snap = session.snapshot();
+        assert_eq!(session.system.guest().last_digest_rehashed(), 0, "snapshot");
+        let plan = RunPlan::qei(spec, Scheme::CoreIntegrated);
+        let _ = session.run_plan(&plan);
+        assert_eq!(session.state_digest(), digest0);
+        assert_eq!(
+            session.system.guest().last_digest_rehashed(),
+            0,
+            "forked run"
+        );
+
+        // One insert of an absent id (ids are 1 + 3i): a new node (which
+        // may straddle two frames), its parent's child pointer and the
+        // header epoch — at most 4 frames.
+        session
+            .mutate_insert(&2_u64.to_be_bytes(), 0xFEED)
+            .expect("insert");
+        let mutated = session.state_digest();
+        assert_ne!(mutated, digest0);
+        let dirtied = session.system.guest().last_digest_rehashed();
+        assert!(
+            (1..=4).contains(&dirtied),
+            "one insert rehashed {dirtied} frames"
+        );
+
+        session.restore(&snap);
+        assert_eq!(session.state_digest(), digest0);
+        assert_eq!(session.system.guest().last_digest_rehashed(), 0, "restore");
+
+        // A snapshot of an image with undigested writes still restores warm.
+        session
+            .mutate_insert(&5_u64.to_be_bytes(), 0xBEEF)
+            .expect("insert");
+        let snap = session.snapshot();
+        session
+            .mutate_insert(&8_u64.to_be_bytes(), 0xCAFE)
+            .expect("insert");
+        session.restore(&snap);
+        assert_eq!(session.state_digest(), snap.digest());
+        assert_eq!(session.system.guest().last_digest_rehashed(), 0, "restore");
+    }
+
+    #[test]
+    fn zero_value_insert_is_rejected_without_touching_the_image() {
+        let mut session = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());
+        let digest0 = session.state_digest();
+        let err = session
+            .mutate_insert(&2_u64.to_be_bytes(), 0)
+            .expect_err("value 0 is the absent sentinel");
+        assert!(err.contains("value 0"), "{err}");
+        assert_eq!(session.state_digest(), digest0);
+        assert_eq!(session.system.guest().last_digest_rehashed(), 0);
+        assert_eq!(session.lookup(&2_u64.to_be_bytes()), Some(0));
     }
 
     #[test]
