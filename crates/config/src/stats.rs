@@ -96,76 +96,6 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// A fixed-bucket histogram for latency/occupancy distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    sum: u64,
-    n: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds; a
-    /// final overflow bucket is added automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            n: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.n += 1;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.n as f64
-        }
-    }
-
-    /// Maximum recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
 /// An exact, all-integer latency histogram with log2 bucketing.
 ///
 /// Bucket `0` holds the value 0 and bucket `k ≥ 1` holds values in
@@ -330,25 +260,6 @@ mod tests {
         assert!((r.fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(r.misses(), 1);
         assert!(r.to_string().contains("2/3"));
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.record(5);
-        h.record(10);
-        h.record(50);
-        h.record(500);
-        assert_eq!(h.buckets(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 500);
-        assert!((h.mean() - 141.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(&[10, 10]);
     }
 
     #[test]

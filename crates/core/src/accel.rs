@@ -629,8 +629,8 @@ impl QeiAccelerator {
         t += Cycles(HEADER_PARSE_CYCLES);
 
         // Key fetch (MEM.K).
-        let key = match guest.read_vec(key_addr, header.key_len as usize) {
-            Ok(k) => k,
+        let key = match guest.bytes(key_addr, header.key_len as usize) {
+            Ok(k) => k.into_owned(),
             Err(e) => {
                 self.stats.faults += 1;
                 self.qsts[inst].complete(slot, start, t);

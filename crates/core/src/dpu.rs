@@ -57,14 +57,17 @@ pub fn execute(mem: &GuestMem, ctx: &mut QueryCtx, op: MicroOp) -> Result<OpOutc
             ctx.cost.read_ops += 1;
             ctx.cost.read_bytes += len as u64;
             ctx.cost.mem_lines += span_lines(addr.0, len);
-            ctx.line = mem.read_vec(addr, len as usize).map_err(FaultCode::from)?;
+            // Refill the staged line in its existing buffer.
+            let bytes = mem.bytes(addr, len as usize).map_err(FaultCode::from)?;
+            ctx.line.clear();
+            ctx.line.extend_from_slice(&bytes);
             Ok(OpOutcome::Data)
         }
         MicroOp::Compare { addr, len, key_off } => {
             ctx.cost.compare_ops += 1;
             ctx.cost.compare_bytes += len as u64;
             ctx.cost.mem_lines += span_lines(addr.0, len);
-            let stored = mem.read_vec(addr, len as usize).map_err(FaultCode::from)?;
+            let stored = mem.bytes(addr, len as usize).map_err(FaultCode::from)?;
             // Clamp the key window like the comparator's mux would: an
             // out-of-range offset compares against an empty slice rather
             // than tripping machine checks.

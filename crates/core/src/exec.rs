@@ -49,8 +49,8 @@ pub fn run_query_counted(
     if header.stale() {
         return (Err(FaultCode::StaleStructure), QueryCost::default(), 0);
     }
-    let key = match mem.read_vec(key_addr, header.key_len as usize) {
-        Ok(k) => k,
+    let key = match mem.bytes(key_addr, header.key_len as usize) {
+        Ok(k) => k.into_owned(),
         Err(e) => return (Err(FaultCode::from(e)), QueryCost::default(), 0),
     };
     let Some(program) = firmware.lookup(header.dtype.to_byte(), header.subtype) else {
@@ -355,9 +355,7 @@ mod tests {
             } else {
                 let mut cur = root;
                 loop {
-                    let ck = u64::from_be_bytes(
-                        mem.read_vec(VirtAddr(cur), 8).unwrap().try_into().unwrap(),
-                    );
+                    let ck = qei_mem::bytes::be_u64(&mem.bytes(VirtAddr(cur), 8).unwrap(), 0);
                     let branch = if k < ck { 16 } else { 24 };
                     let child = mem.read_u64(VirtAddr(cur + branch)).unwrap();
                     if child == 0 {

@@ -231,9 +231,7 @@ impl QueryDs for AcTrie {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let text = mem
-            .read_vec(key_addr, self.text_len())
-            .expect("text readable");
+        let text = mem.bytes(key_addr, self.text_len()).expect("text readable");
 
         baseline::emit_call_overhead(trace);
         // The scanner streams the text; model as loads per 64 B chunk, issued

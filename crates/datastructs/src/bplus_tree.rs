@@ -13,6 +13,7 @@ use qei_core::firmware::btree::{
 };
 use qei_core::header::{DsType, Header, HEADER_BYTES};
 use qei_cpu::Trace;
+use qei_mem::bytes::be_u64;
 use qei_mem::{GuestMem, MemError, VirtAddr};
 
 /// A B+-tree index living in guest memory.
@@ -129,9 +130,9 @@ impl BPlusTree {
 
     fn node_key(&self, mem: &GuestMem, node: u64, i: usize) -> u64 {
         let b = mem
-            .read_vec(VirtAddr(node + NODE_KEYS_OFF + (i as u64) * 8), 8)
+            .bytes(VirtAddr(node + NODE_KEYS_OFF + (i as u64) * 8), 8)
             .expect("node readable");
-        u64::from_be_bytes(b.try_into().expect("8 bytes"))
+        be_u64(&b, 0)
     }
 
     fn node_ptr(&self, mem: &GuestMem, node: u64, i: usize) -> u64 {
@@ -386,8 +387,7 @@ impl QueryDs for BPlusTree {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let key = mem.read_vec(key_addr, 8).expect("key readable");
-        let query = u64::from_be_bytes(key.clone().try_into().expect("8 bytes"));
+        let query = be_u64(&mem.bytes(key_addr, 8).expect("key readable"), 0);
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, 8);
         let mut cur_dep = trace.load(self.header_addr, Some(key_dep));

@@ -15,6 +15,7 @@ use qei_core::firmware::bst::{
 };
 use qei_core::header::{DsType, Header, HEADER_BYTES};
 use qei_cpu::Trace;
+use qei_mem::bytes::be_u64;
 use qei_mem::{GuestMem, MemError, VirtAddr};
 
 /// A binary search tree living in guest memory.
@@ -156,7 +157,7 @@ impl Bst {
                 succ_parent = Some(succ);
                 succ = l;
             }
-            let succ_key = mem.read_vec(VirtAddr(succ + NODE_KEY_OFF), 8)?;
+            let succ_key = mem.read_u64(VirtAddr(succ + NODE_KEY_OFF))?;
             let succ_val = mem.read_u64(VirtAddr(succ + NODE_VALUE_OFF))?;
             let succ_right = mem.read_u64(VirtAddr(succ + NODE_RIGHT_OFF))?;
             match succ_parent {
@@ -165,7 +166,7 @@ impl Bst {
                 // Successor is `right` itself: cur's right becomes its right.
                 None => mem.write_u64(VirtAddr(cur + NODE_RIGHT_OFF), succ_right)?,
             }
-            mem.write(VirtAddr(cur + NODE_KEY_OFF), &succ_key)?;
+            mem.write_u64(VirtAddr(cur + NODE_KEY_OFF), succ_key)?;
             mem.write_u64(VirtAddr(cur + NODE_VALUE_OFF), succ_val)?;
         } else {
             // Zero or one child: splice it into the parent slot.
@@ -184,8 +185,7 @@ impl Bst {
     }
 
     fn node_u64(&self, mem: &GuestMem, node: u64) -> Result<u64, MemError> {
-        let b = mem.read_vec(VirtAddr(node + NODE_KEY_OFF), 8)?;
-        Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
+        Ok(be_u64(&mem.bytes(VirtAddr(node + NODE_KEY_OFF), 8)?, 0))
     }
 
     /// Number of items.
@@ -225,10 +225,7 @@ impl QueryDs for Bst {
         let key = u64::from_be_bytes(key.try_into().expect("BST keys are 8 bytes"));
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
-            let ck_bytes = mem
-                .read_vec(VirtAddr(cur + NODE_KEY_OFF), 8)
-                .expect("node readable");
-            let ck = u64::from_be_bytes(ck_bytes.try_into().expect("8 bytes"));
+            let ck = self.node_u64(mem, cur).expect("node readable");
             if ck == key {
                 return baseline::guest_u64(mem, VirtAddr(cur + NODE_VALUE_OFF));
             }
@@ -243,8 +240,7 @@ impl QueryDs for Bst {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let key_bytes = mem.read_vec(key_addr, 8).expect("query key readable");
-        let key = u64::from_be_bytes(key_bytes.clone().try_into().expect("8 bytes"));
+        let key = be_u64(&mem.bytes(key_addr, 8).expect("query key readable"), 0);
 
         baseline::emit_call_overhead(trace);
         baseline::emit_key_stage(trace, key_addr, 8);
@@ -255,10 +251,7 @@ impl QueryDs for Bst {
         while cur != 0 {
             // One node line holds key/value/children.
             let node_load = trace.load(VirtAddr(cur), Some(cur_dep));
-            let ck_bytes = mem
-                .read_vec(VirtAddr(cur + NODE_KEY_OFF), 8)
-                .expect("node readable");
-            let ck = u64::from_be_bytes(ck_bytes.try_into().expect("8 bytes"));
+            let ck = self.node_u64(mem, cur).expect("node readable");
             let cmp = trace.alu(1, Some(node_load), None);
             let matched = ck == key;
             trace.branch(sites::MATCH, matched, Some(cmp));

@@ -83,7 +83,7 @@ impl ChainedHash {
         let mut existing = None;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + 8))?;
-            if mem.read_vec(VirtAddr(key_ptr), key.len())? == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 existing = Some(cur);
                 break;
             }
@@ -123,7 +123,7 @@ impl ChainedHash {
         let mut cur = mem.read_u64(slot)?;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + 8))?;
-            if mem.read_vec(VirtAddr(key_ptr), key.len())? == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 let value = mem.read_u64(VirtAddr(cur + 16))?;
                 let next = mem.read_u64(VirtAddr(cur))?;
                 epoch_bump(mem, &mut self.header, self.header_addr)?;
@@ -171,10 +171,10 @@ impl QueryDs for ChainedHash {
         let mut cur = baseline::guest_u64(mem, VirtAddr(self.bucket_slot(key)));
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + 8));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("chain key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("chain key readable")
+            {
                 return baseline::guest_u64(mem, VirtAddr(cur + 16));
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur));
@@ -184,7 +184,7 @@ impl QueryDs for ChainedHash {
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
         let key_len = self.header.key_len as usize;
-        let key = mem.read_vec(key_addr, key_len).expect("query key readable");
+        let key = mem.bytes(key_addr, key_len).expect("query key readable");
 
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, key_len);
@@ -202,7 +202,7 @@ impl QueryDs for ChainedHash {
             trace.load(VirtAddr(cur + 16), Some(node_load));
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + 8));
             let stored = mem
-                .read_vec(VirtAddr(key_ptr), key_len)
+                .bytes(VirtAddr(key_ptr), key_len)
                 .expect("chain key readable");
             let cmp = baseline::emit_memcmp(
                 trace,

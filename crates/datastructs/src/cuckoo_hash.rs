@@ -163,7 +163,7 @@ impl CuckooHash {
             mem.write_u64(ea + 8, carry_kv).expect("bucket mapped");
             // The victim's alternate bucket: recompute from its stored key.
             let v_key = mem
-                .read_vec(VirtAddr(v_kv + 8), self.header.key_len as usize)
+                .bytes(VirtAddr(v_kv + 8), self.header.key_len as usize)
                 .expect("victim key readable");
             let (vb1, vb2, _) = self.buckets_of(&v_key);
             carry_sig = v_sig;
@@ -213,10 +213,10 @@ impl CuckooHash {
                 let ea = self.entry_addr(bucket, e);
                 if baseline::guest_u64(mem, ea) == sig {
                     let kv = baseline::guest_u64(mem, ea + 8);
-                    let stored = mem
-                        .read_vec(VirtAddr(kv + 8), key.len())
-                        .expect("kv key readable");
-                    if stored == key {
+                    if mem
+                        .bytes_equal(VirtAddr(kv + 8), key)
+                        .expect("kv key readable")
+                    {
                         return Some((ea, kv));
                     }
                 }
@@ -243,10 +243,10 @@ impl CuckooHash {
             let ea = self.entry_addr(bucket, e);
             if baseline::guest_u64(mem, ea) == sig {
                 let kv = baseline::guest_u64(mem, ea + 8);
-                let stored = mem
-                    .read_vec(VirtAddr(kv + 8), key.len())
-                    .expect("kv key readable");
-                if stored == key {
+                if mem
+                    .bytes_equal(VirtAddr(kv + 8), key)
+                    .expect("kv key readable")
+                {
                     return baseline::guest_u64(mem, VirtAddr(kv));
                 }
             }
@@ -282,7 +282,7 @@ impl QueryDs for CuckooHash {
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
         let key_len = self.header.key_len as usize;
-        let key = mem.read_vec(key_addr, key_len).expect("query key readable");
+        let key = mem.bytes(key_addr, key_len).expect("query key readable");
 
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, key_len);
@@ -316,7 +316,7 @@ impl QueryDs for CuckooHash {
                     let kv = baseline::guest_u64(mem, ea + 8);
                     let kv_load = trace.load(ea + 8, Some(bucket_load));
                     let stored = mem
-                        .read_vec(VirtAddr(kv + 8), key_len)
+                        .bytes(VirtAddr(kv + 8), key_len)
                         .expect("kv key readable");
                     let cmp = baseline::emit_memcmp(
                         trace,

@@ -97,8 +97,7 @@ impl LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + NODE_KEY_PTR_OFF))?;
-            let stored = mem.read_vec(VirtAddr(key_ptr), key.len())?;
-            if stored == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 let value = mem.read_u64(VirtAddr(cur + NODE_VALUE_OFF))?;
                 let next = mem.read_u64(VirtAddr(cur + NODE_NEXT_OFF))?;
                 epoch_bump(mem, &mut self.header, self.header_addr)?;
@@ -123,10 +122,10 @@ impl LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("list key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("list key readable")
+            {
                 return Some(cur);
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur + NODE_NEXT_OFF));
@@ -164,10 +163,10 @@ impl QueryDs for LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("list key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("list key readable")
+            {
                 return baseline::guest_u64(mem, VirtAddr(cur + NODE_VALUE_OFF));
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur + NODE_NEXT_OFF));
@@ -177,7 +176,7 @@ impl QueryDs for LinkedList {
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
         let key_len = self.header.key_len as usize;
-        let key = mem.read_vec(key_addr, key_len).expect("query key readable");
+        let key = mem.bytes(key_addr, key_len).expect("query key readable");
 
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, key_len);
@@ -192,7 +191,7 @@ impl QueryDs for LinkedList {
             trace.load(VirtAddr(cur + 16), Some(node_load));
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
             let stored = mem
-                .read_vec(VirtAddr(key_ptr), key_len)
+                .bytes(VirtAddr(key_ptr), key_len)
                 .expect("list key readable");
             let cmp = baseline::emit_memcmp(
                 trace,

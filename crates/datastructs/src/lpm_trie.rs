@@ -178,14 +178,14 @@ impl QueryDs for LpmTrie {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let key = mem.read_vec(key_addr, ADDR_LEN).expect("address readable");
+        let key = mem.bytes(key_addr, ADDR_LEN).expect("address readable");
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, ADDR_LEN);
 
         let mut cur = self.header.ds_ptr.0;
         let mut cur_dep = trace.load(self.header_addr, Some(key_dep));
         let mut best = 0u64;
-        for &b in &key {
+        for &b in key.iter() {
             let node_load = trace.load(VirtAddr(cur), Some(cur_dep));
             let hop = baseline::guest_u64(mem, VirtAddr(cur + NODE_OUT_OFF));
             let check = trace.alu(1, Some(node_load), None);

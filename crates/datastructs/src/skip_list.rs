@@ -15,6 +15,7 @@ use qei_core::firmware::skip_list::{
 use qei_core::header::{DsType, Header, HEADER_BYTES};
 use qei_cpu::Trace;
 use qei_mem::{GuestMem, MemError, VirtAddr};
+use std::borrow::Cow;
 
 /// A skip list living in guest memory.
 #[derive(Debug, Clone)]
@@ -75,9 +76,10 @@ impl SkipList {
         level
     }
 
-    fn node_key(&self, mem: &GuestMem, node: u64, len: usize) -> Vec<u8> {
+    /// The `len`-byte key of `node`, borrowed from guest memory.
+    fn node_key(mem: &GuestMem, node: u64, len: usize) -> Cow<'_, [u8]> {
         let kp = baseline::guest_u64(mem, VirtAddr(node + NODE_KEY_PTR_OFF));
-        mem.read_vec(VirtAddr(kp), len).expect("node key readable")
+        mem.bytes(VirtAddr(kp), len).expect("node key readable")
     }
 
     /// Finds the predecessor of `key` at every level. Returns the pred
@@ -95,8 +97,7 @@ impl SkipList {
                 if nxt == 0 {
                     break;
                 }
-                let nk = self.node_key(mem, nxt, key_len);
-                match nk.as_slice().cmp(key) {
+                match Self::node_key(mem, nxt, key_len).as_ref().cmp(key) {
                     std::cmp::Ordering::Less => cur = nxt,
                     std::cmp::Ordering::Equal => {
                         found = Some(nxt);
@@ -218,8 +219,7 @@ impl QueryDs for SkipList {
                 if nxt == 0 {
                     break;
                 }
-                let nk = self.node_key(mem, nxt, key.len());
-                match nk.as_slice().cmp(key) {
+                match Self::node_key(mem, nxt, key.len()).as_ref().cmp(key) {
                     std::cmp::Ordering::Less => cur = nxt,
                     std::cmp::Ordering::Equal => {
                         return baseline::guest_u64(mem, VirtAddr(nxt + NODE_VALUE_OFF))
@@ -233,7 +233,7 @@ impl QueryDs for SkipList {
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
         let key_len = self.header.key_len as usize;
-        let key = mem.read_vec(key_addr, key_len).expect("query key readable");
+        let key = mem.bytes(key_addr, key_len).expect("query key readable");
 
         baseline::emit_call_overhead(trace);
         baseline::emit_key_stage(trace, key_addr, key_len);
@@ -261,10 +261,10 @@ impl QueryDs for SkipList {
                 trace.alu_block(8);
                 trace.branch(sites::MATCH + 8, true, Some(decode));
                 let kp = baseline::guest_u64(mem, VirtAddr(nxt + NODE_KEY_PTR_OFF));
-                let nk = mem.read_vec(VirtAddr(kp), key_len).expect("key readable");
+                let nk = mem.bytes(VirtAddr(kp), key_len).expect("key readable");
                 let cmp =
                     baseline::emit_memcmp(trace, VirtAddr(kp), Some(node_load), &nk, &key, key_len);
-                match nk.as_slice().cmp(&key[..]) {
+                match nk.cmp(&key) {
                     std::cmp::Ordering::Less => {
                         trace.branch(sites::MATCH, false, Some(cmp));
                         cur = nxt;
@@ -407,7 +407,7 @@ mod tests {
         let mut prev: Option<Vec<u8>> = None;
         let mut count = 0;
         while cur != 0 {
-            let k = s.node_key(&mem, cur, 16);
+            let k = SkipList::node_key(&mem, cur, 16).into_owned();
             if let Some(p) = &prev {
                 assert!(p < &k, "order violated");
             }

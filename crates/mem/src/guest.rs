@@ -6,6 +6,7 @@ use crate::error::MemError;
 use crate::frame::FrameAlloc;
 use crate::phys::PhysMem;
 use crate::space::AddressSpace;
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Sentinel VPN for an empty translation cache (no real VPN reaches 2^52).
@@ -175,15 +176,67 @@ impl GuestMem {
         Ok(())
     }
 
+    /// Whether `[va, va + len)` lies inside the page `va` is in.
+    #[inline]
+    fn in_page(va: VirtAddr, len: usize) -> bool {
+        va.page_offset() as usize + len <= PAGE_BYTES as usize
+    }
+
+    /// The `len` guest bytes at `va`. A span inside one page is borrowed
+    /// straight from the frame arena (an untouched frame borrows a static
+    /// zero frame); only a span crossing a page boundary is copied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates translation failures ([`MemError::Unmapped`] /
+    /// [`MemError::NullDeref`]). An empty span never faults.
+    pub fn bytes(&self, va: VirtAddr, len: usize) -> Result<Cow<'_, [u8]>, MemError> {
+        if len == 0 {
+            return Ok(Cow::Borrowed(&[]));
+        }
+        if Self::in_page(va, len) {
+            let pa = self.translate(va)?;
+            return Ok(Cow::Borrowed(self.phys.frame_bytes(pa, len)));
+        }
+        let mut v = vec![0u8; len];
+        self.read(va, &mut v)?;
+        Ok(Cow::Owned(v))
+    }
+
+    /// Loads `N` bytes: one translation and one in-frame copy unless the
+    /// value straddles a page.
+    #[inline]
+    fn load<const N: usize>(&self, va: VirtAddr) -> Result<[u8; N], MemError> {
+        let mut b = [0u8; N];
+        if Self::in_page(va, N) {
+            let pa = self.translate(va)?;
+            b.copy_from_slice(self.phys.frame_bytes(pa, N));
+        } else {
+            self.read(va, &mut b)?;
+        }
+        Ok(b)
+    }
+
+    /// Stores `N` bytes: one translation and one in-frame copy unless the
+    /// value straddles a page.
+    #[inline]
+    fn store<const N: usize>(&mut self, va: VirtAddr, b: [u8; N]) -> Result<(), MemError> {
+        if Self::in_page(va, N) {
+            let pa = self.translate(va)?;
+            self.phys.frame_bytes_mut(pa, N).copy_from_slice(&b);
+            Ok(())
+        } else {
+            self.write(va, &b)
+        }
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
     ///
     /// Propagates translation failures.
     pub fn read_u64(&self, va: VirtAddr) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(va, &mut b)?;
-        Ok(u64::from_le_bytes(b))
+        self.load(va).map(u64::from_le_bytes)
     }
 
     /// Writes a little-endian `u64`.
@@ -192,7 +245,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn write_u64(&mut self, va: VirtAddr, v: u64) -> Result<(), MemError> {
-        self.write(va, &v.to_le_bytes())
+        self.store(va, v.to_le_bytes())
     }
 
     /// Reads a little-endian `u32`.
@@ -201,9 +254,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn read_u32(&self, va: VirtAddr) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(va, &mut b)?;
-        Ok(u32::from_le_bytes(b))
+        self.load(va).map(u32::from_le_bytes)
     }
 
     /// Writes a little-endian `u32`.
@@ -212,7 +263,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn write_u32(&mut self, va: VirtAddr, v: u32) -> Result<(), MemError> {
-        self.write(va, &v.to_le_bytes())
+        self.store(va, v.to_le_bytes())
     }
 
     /// Reads a little-endian `u16`.
@@ -221,9 +272,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn read_u16(&self, va: VirtAddr) -> Result<u16, MemError> {
-        let mut b = [0u8; 2];
-        self.read(va, &mut b)?;
-        Ok(u16::from_le_bytes(b))
+        self.load(va).map(u16::from_le_bytes)
     }
 
     /// Writes a little-endian `u16`.
@@ -232,7 +281,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn write_u16(&mut self, va: VirtAddr, v: u16) -> Result<(), MemError> {
-        self.write(va, &v.to_le_bytes())
+        self.store(va, v.to_le_bytes())
     }
 
     /// Reads one byte.
@@ -241,9 +290,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn read_u8(&self, va: VirtAddr) -> Result<u8, MemError> {
-        let mut b = [0u8; 1];
-        self.read(va, &mut b)?;
-        Ok(b[0])
+        self.load(va).map(|[b]| b)
     }
 
     /// Writes one byte.
@@ -252,18 +299,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn write_u8(&mut self, va: VirtAddr, v: u8) -> Result<(), MemError> {
-        self.write(va, &[v])
-    }
-
-    /// Reads `len` bytes into a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation failures.
-    pub fn read_vec(&self, va: VirtAddr, len: usize) -> Result<Vec<u8>, MemError> {
-        let mut v = vec![0u8; len];
-        self.read(va, &mut v)?;
-        Ok(v)
+        self.store(va, [v])
     }
 
     /// Digest of the full guest state: a page-hash fold of the materialized
@@ -308,8 +344,7 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn bytes_equal(&self, va: VirtAddr, expect: &[u8]) -> Result<bool, MemError> {
-        let got = self.read_vec(va, expect.len())?;
-        Ok(got == expect)
+        Ok(*self.bytes(va, expect.len())? == *expect)
     }
 }
 
@@ -352,7 +387,45 @@ mod tests {
             .collect();
         let start = p + (PAGE_BYTES / 2);
         m.write(start, &data).unwrap();
-        assert_eq!(m.read_vec(start, data.len()).unwrap(), data);
+        assert_eq!(*m.bytes(start, data.len()).unwrap(), *data);
+    }
+
+    #[test]
+    fn bytes_borrow_in_page_and_copy_across_pages() {
+        let mut m = GuestMem::new(2);
+        let p = m.alloc(3 * PAGE_BYTES, 4096).unwrap();
+        m.write(p + 8, b"in-frame").unwrap();
+        let got = m.bytes(p + 8, 8).unwrap();
+        assert!(matches!(got, Cow::Borrowed(b"in-frame")));
+        // A mapped page nobody wrote borrows the zero frame.
+        let untouched = m.bytes(p + 2 * PAGE_BYTES, 64).unwrap();
+        assert!(matches!(untouched, Cow::Borrowed(_)));
+        assert!(untouched.iter().all(|&b| b == 0));
+        // Only a page-crossing span is copied, and it reads the same bytes.
+        let edge = p + PAGE_BYTES - 3;
+        m.write(edge, b"abcdef").unwrap();
+        let crossing = m.bytes(edge, 6).unwrap();
+        assert!(matches!(crossing, Cow::Owned(_)));
+        assert_eq!(*crossing, *b"abcdef");
+        // Typed accessors straddle pages the same way.
+        m.write_u64(edge, 0x0102_0304_0506_0708).unwrap();
+        assert_eq!(m.read_u64(edge).unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u32(edge + 2).unwrap(), 0x0304_0506);
+        assert!(m
+            .bytes_equal(edge, &0x0102_0304_0506_0708u64.to_le_bytes())
+            .unwrap());
+    }
+
+    #[test]
+    fn bytes_fault_like_reads() {
+        let m = GuestMem::new(2);
+        assert_eq!(m.bytes(VirtAddr::NULL, 8), Err(MemError::NullDeref));
+        assert!(matches!(
+            m.bytes(VirtAddr(0x1234_5678), 4),
+            Err(MemError::Unmapped(_))
+        ));
+        // An empty span is not an access.
+        assert_eq!(*m.bytes(VirtAddr::NULL, 0).unwrap(), [0u8; 0]);
     }
 
     #[test]

@@ -13,14 +13,20 @@
 //! Writes also set the frame's dirty bit, which lets a snapshot restore
 //! copy only the frames written since the previous restore.
 //!
+//! In-frame spans are borrowed in place: an access that stays inside one
+//! frame copies nothing and allocates nothing.
+//!
 //! [`FrameAlloc`]: crate::FrameAlloc
 
-use crate::addr::{PhysAddr, PAGE_BYTES};
+use crate::addr::{PhysAddr, PAGE_BYTES, PAGE_SHIFT};
 use std::cell::Cell;
 use std::sync::Arc;
 
 /// Marker for a frame that has never been written.
 const NO_FRAME: u32 = u32::MAX;
+
+/// What every untouched frame reads as.
+static ZERO_FRAME: [u8; PAGE_BYTES as usize] = [0; PAGE_BYTES as usize];
 
 /// Marker for a cached frame hash that no longer describes the frame. A
 /// frame whose content really hashes to this value caches
@@ -206,34 +212,54 @@ impl PhysMem {
         &mut self.data[off..off + PAGE_BYTES as usize]
     }
 
+    /// The `len` bytes at `pa`, borrowed in place: from the frame arena, or
+    /// from a static zero frame when the frame is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves the frame `pa` lies in.
+    #[inline]
+    pub(crate) fn frame_bytes(&self, pa: PhysAddr, len: usize) -> &[u8] {
+        let off = pa.page_offset() as usize;
+        let frame = self.frame(pa.0 >> PAGE_SHIFT).unwrap_or(&ZERO_FRAME);
+        &frame[off..off + len]
+    }
+
+    /// The `len` bytes at `pa` for writing, materializing the frame if
+    /// needed (through the one write path, so the frame goes stale and
+    /// dirty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span leaves the frame `pa` lies in.
+    #[inline]
+    pub(crate) fn frame_bytes_mut(&mut self, pa: PhysAddr, len: usize) -> &mut [u8] {
+        let off = pa.page_offset() as usize;
+        &mut self.frame_mut(pa.0 >> PAGE_SHIFT)[off..off + len]
+    }
+
     /// Reads `buf.len()` bytes starting at `pa`. Untouched memory reads as 0.
     pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) {
-        let mut addr = pa.0;
+        let mut addr = pa;
         let mut done = 0usize;
         while done < buf.len() {
-            let pfn = addr >> 12;
-            let off = (addr & (PAGE_BYTES - 1)) as usize;
-            let n = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            match self.frame(pfn) {
-                Some(frame) => buf[done..done + n].copy_from_slice(&frame[off..off + n]),
-                None => buf[done..done + n].fill(0),
-            }
+            let n = ((PAGE_BYTES - addr.page_offset()) as usize).min(buf.len() - done);
+            buf[done..done + n].copy_from_slice(self.frame_bytes(addr, n));
             done += n;
-            addr += n as u64;
+            addr = addr + n as u64;
         }
     }
 
     /// Writes `buf` starting at `pa`, materializing frames as needed.
     pub fn write(&mut self, pa: PhysAddr, buf: &[u8]) {
-        let mut addr = pa.0;
+        let mut addr = pa;
         let mut done = 0usize;
         while done < buf.len() {
-            let pfn = addr >> 12;
-            let off = (addr & (PAGE_BYTES - 1)) as usize;
-            let n = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            self.frame_mut(pfn)[off..off + n].copy_from_slice(&buf[done..done + n]);
+            let n = ((PAGE_BYTES - addr.page_offset()) as usize).min(buf.len() - done);
+            self.frame_bytes_mut(addr, n)
+                .copy_from_slice(&buf[done..done + n]);
             done += n;
-            addr += n as u64;
+            addr = addr + n as u64;
         }
     }
 

@@ -225,8 +225,8 @@ fn restoring_a_clone_reproduces_it_exactly() {
             live.shadow.clone_from(&snap.shadow);
             live.touched.clone_from(&snap.touched);
             assert_eq!(
-                live.mem.read_vec(live.base, region).unwrap(),
-                snap.shadow,
+                *live.mem.bytes(live.base, region).unwrap(),
+                *snap.shadow,
                 "seed {seed} step {step}"
             );
             let digest = live.mem.state_digest();

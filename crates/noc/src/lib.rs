@@ -174,10 +174,9 @@ impl Mesh {
         if a == b {
             return Cycles::ZERO;
         }
-        let route = self.route(a, b);
         let mut worst_util: f64 = 0.0;
         let mut worst_own_util: f64 = 0.0;
-        for link in route {
+        for link in self.route(a, b) {
             self.link_bytes[link] += bytes;
             if now_cycles > 0 {
                 // Cross-lane mesh sharing: other lanes' warm-up traffic on
@@ -267,37 +266,43 @@ impl Mesh {
         self.trace.drain()
     }
 
-    /// Dense id of the directed link leaving `(x, y)` one step in `(dx, dy)`.
-    /// Ids partition into four direction classes: east, west, south, north.
-    fn link_id(&self, x: u32, y: u32, dx: i32, dy: i32) -> usize {
+    /// The directed links of the XY route from `a` to `b`, in hop order:
+    /// every X step, then every Y step. Walked in place, without a buffer.
+    fn route(&self, a: Tile, b: Tile) -> impl Iterator<Item = usize> {
         let (w, h) = (self.width as usize, self.height as usize);
-        let (x, y) = (x as usize, y as usize);
-        let east = (w - 1) * h;
-        let south = w * (h - 1);
-        match (dx, dy) {
-            (1, 0) => y * (w - 1) + x,
-            (-1, 0) => east + y * (w - 1) + (x - 1),
-            (0, 1) => 2 * east + y * w + x,
-            (0, -1) => 2 * east + south + (y - 1) * w + x,
-            _ => unreachable!("XY routing only moves one step on one axis"),
-        }
-    }
-
-    fn route(&self, a: Tile, b: Tile) -> Vec<usize> {
         let (mut x, mut y) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b) as usize);
-        while x != bx {
-            let dx = if bx > x { 1 } else { -1 };
-            links.push(self.link_id(x, y, dx, 0));
-            x = x.wrapping_add_signed(dx);
-        }
-        while y != by {
-            let dy = if by > y { 1 } else { -1 };
-            links.push(self.link_id(x, y, 0, dy));
-            y = y.wrapping_add_signed(dy);
-        }
-        links
+        std::iter::from_fn(move || {
+            if x != bx {
+                let dx = if bx > x { 1 } else { -1 };
+                let link = link_id(w, h, x, y, dx, 0);
+                x = x.wrapping_add_signed(dx);
+                Some(link)
+            } else if y != by {
+                let dy = if by > y { 1 } else { -1 };
+                let link = link_id(w, h, x, y, 0, dy);
+                y = y.wrapping_add_signed(dy);
+                Some(link)
+            } else {
+                None
+            }
+        })
+    }
+}
+
+/// Dense id of the directed link leaving `(x, y)` one step in `(dx, dy)` on a
+/// `w × h` grid. Ids partition into four direction classes: east, west,
+/// south, north.
+fn link_id(w: usize, h: usize, x: u32, y: u32, dx: i32, dy: i32) -> usize {
+    let (x, y) = (x as usize, y as usize);
+    let east = (w - 1) * h;
+    let south = w * (h - 1);
+    match (dx, dy) {
+        (1, 0) => y * (w - 1) + x,
+        (-1, 0) => east + y * (w - 1) + (x - 1),
+        (0, 1) => 2 * east + y * w + x,
+        (0, -1) => 2 * east + south + (y - 1) * w + x,
+        _ => unreachable!("XY routing only moves one step on one axis"),
     }
 }
 
@@ -318,6 +323,28 @@ mod tests {
         assert_eq!(m.coords(Tile(23)), (5, 3));
         // Device tile is a single stop in the extra row.
         assert_eq!(m.coords(m.device_tile()), (3, 4));
+    }
+
+    #[test]
+    fn routes_walk_x_then_y_over_distinct_links() {
+        let m = mesh();
+        let tiles: Vec<Tile> = (0..24).map(Tile).chain([m.device_tile()]).collect();
+        for &a in &tiles {
+            for &b in &tiles {
+                let links: Vec<usize> = m.route(a, b).collect();
+                assert_eq!(links.len() as u32, m.hops(a, b));
+                assert!(links.iter().all(|&l| l < m.link_bytes.len()));
+                let mut sorted = links.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), links.len(), "{a:?} -> {b:?} revisits a link");
+            }
+        }
+        // Tile 0 -> tile 23 is five east steps, then three south: the first
+        // link leaves (0, 0) eastward, the last enters (5, 3) from the north.
+        let links: Vec<usize> = m.route(Tile(0), Tile(23)).collect();
+        assert_eq!(links[0], link_id(6, 5, 0, 0, 1, 0));
+        assert_eq!(links[links.len() - 1], link_id(6, 5, 5, 2, 0, 1));
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub fn set_default_threads(threads: usize) {
 }
 
 /// Enables per-phase wall-time profiling: every run prints one stderr line
-/// with its workload-build, warm-up, measured-pass, and report-serialization
-/// times. The `repro` binary's `--profile` flag calls this; reports
-/// themselves are unaffected.
+/// with its workload-build, uop-trace generation, warm-up, measured-pass,
+/// and report-serialization times. The `repro` binary's `--profile` flag
+/// calls this; reports themselves are unaffected.
 pub fn set_profiling(enabled: bool) {
     PROFILING.store(enabled, Ordering::SeqCst);
 }
@@ -711,19 +711,13 @@ impl Engine {
     ) -> RunReport {
         match mode {
             RunMode::Baseline => Self::execute_baseline(sys, workload, build, tag),
-            RunMode::QeiBlocking | RunMode::LocalCompareAblation => {
+            RunMode::QeiBlocking
+            | RunMode::LocalCompareAblation
+            | RunMode::QeiNonblocking { .. } => {
                 let Some(scheme) = scheme else {
                     panic!("QEI modes require a scheme")
                 };
-                let trace = build_qei_trace_blocking(workload);
-                Self::execute_qei(sys, workload, mode, scheme, trace, build, tag)
-            }
-            RunMode::QeiNonblocking { batch } => {
-                let Some(scheme) = scheme else {
-                    panic!("QEI modes require a scheme")
-                };
-                let trace = build_qei_trace_nonblocking(workload, batch);
-                Self::execute_qei(sys, workload, mode, scheme, trace, build, tag)
+                Self::execute_qei(sys, workload, mode, scheme, build, tag)
             }
             RunMode::Served { load } => {
                 Self::execute_served(sys, workload, load, scheme, build, tag)
@@ -756,10 +750,14 @@ impl Engine {
         qei_trace::collect(trace);
     }
 
-    /// Prints one per-run phase-timing line when profiling is enabled.
+    /// Prints one per-run phase-timing line when profiling is enabled:
+    /// workload build, uop-trace generation (zero for served-QEI runs,
+    /// which submit queries without a core trace), warm-up pass, measured
+    /// pass, and report serialization.
     fn emit_profile(
         report: &RunReport,
         build: Duration,
+        trace: Duration,
         warmup: Duration,
         measured: Duration,
         serialize: Duration,
@@ -772,8 +770,8 @@ impl Engine {
             None => report.mode.to_string(),
         };
         eprintln!(
-            "[profile] {:8} {:32} build {:>10.3?}  warm-up {:>10.3?}  measured {:>10.3?}  report {:>10.3?}",
-            report.workload, label, build, warmup, measured, serialize
+            "[profile] {:8} {:32} build {:>10.3?}  trace {:>10.3?}  warm-up {:>10.3?}  measured {:>10.3?}  report {:>10.3?}",
+            report.workload, label, build, trace, warmup, measured, serialize
         );
     }
 
@@ -792,7 +790,9 @@ impl Engine {
             "baseline functional mismatch in {}",
             workload.name()
         );
+        let trace_gen = phase.elapsed();
 
+        let phase = Instant::now();
         let mut bus = MemBus::new(MemoryHierarchy::new(sys.config()), sys.guest().space());
         let mut core = CoreModel::new(sys.config(), sys.core_id());
         // Warm-up pass: caches, TLBs, branch predictor reach steady state.
@@ -812,7 +812,7 @@ impl Engine {
             vec![core.drain_trace(), bus.mem.drain_trace()],
         );
         let report = RunReport::from_software(workload, run, bus.mem.stats());
-        Self::emit_profile(&report, build, warmup, measured, phase.elapsed());
+        Self::emit_profile(&report, build, trace_gen, warmup, measured, phase.elapsed());
         report
     }
 
@@ -821,10 +821,16 @@ impl Engine {
         workload: &dyn Workload,
         mode: RunMode,
         scheme: Scheme,
-        trace: Trace,
         build: Duration,
         tag: &str,
     ) -> RunReport {
+        let phase = Instant::now();
+        let trace = match mode {
+            RunMode::QeiNonblocking { batch } => build_qei_trace_nonblocking(workload, batch),
+            _ => build_qei_trace_blocking(workload),
+        };
+        let trace_gen = phase.elapsed();
+
         // Result buffer for non-blocking queries: one u64 per job.
         let phase = Instant::now();
         let n_jobs = workload.jobs().len();
@@ -883,7 +889,7 @@ impl Engine {
                 noc: *bus.mem_hierarchy().noc().stats(),
             },
         );
-        Self::emit_profile(&report, build, warmup, measured, phase.elapsed());
+        Self::emit_profile(&report, build, trace_gen, warmup, measured, phase.elapsed());
         report
     }
 
@@ -946,6 +952,8 @@ impl Engine {
             "baseline functional mismatch in {}",
             workload.name()
         );
+        let trace_gen = phase.elapsed();
+        let phase = Instant::now();
         let mut bus = MemBus::new(MemoryHierarchy::new(sys.config()), sys.guest().space());
         let mut core = CoreModel::new(sys.config(), sys.core_id());
         let _ = core.run(&trace, &mut bus);
@@ -1029,7 +1037,7 @@ impl Engine {
                 per_core,
             },
         );
-        Self::emit_profile(&report, build, warmup, measured, phase.elapsed());
+        Self::emit_profile(&report, build, trace_gen, warmup, measured, phase.elapsed());
         report
     }
 
@@ -1102,6 +1110,7 @@ impl Engine {
         Self::emit_profile(
             &report,
             build,
+            Duration::ZERO,
             outcome.warmup,
             outcome.measured,
             phase.elapsed(),
@@ -1209,7 +1218,14 @@ impl Engine {
                 per_core: Vec::new(),
             },
         );
-        Self::emit_profile(&report, build, warmup, measured, phase.elapsed());
+        Self::emit_profile(
+            &report,
+            build,
+            Duration::ZERO,
+            warmup,
+            measured,
+            phase.elapsed(),
+        );
         report
     }
 }

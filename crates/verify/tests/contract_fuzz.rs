@@ -171,8 +171,9 @@ fn corrupted_headers_respect_the_static_bounds() {
     for (header_addr, keys) in f.structures.clone() {
         let pristine = f
             .mem
-            .read_vec(header_addr, HEADER_BYTES as usize)
-            .expect("header is mapped");
+            .bytes(header_addr, HEADER_BYTES as usize)
+            .expect("header is mapped")
+            .into_owned();
         for _ in 0..200 {
             let off = (rng.next_u64() % HEADER_BYTES) as usize;
             let flip = (rng.next_u64() % 0xFF) as u8 + 1;

@@ -56,8 +56,9 @@ fn flip_and_query(mem: &mut GuestMem, fw: &FirmwareStore, ds: &dyn QueryDs, keys
     let mut rng = SimRng::seed_from_u64(0xB17F_11B5);
     let header_addr = ds.header_addr();
     let pristine = mem
-        .read_vec(header_addr, HEADER_BYTES as usize)
-        .expect("header is mapped");
+        .bytes(header_addr, HEADER_BYTES as usize)
+        .expect("header is mapped")
+        .into_owned();
     let key_addrs: Vec<VirtAddr> = keys.iter().map(|k| stage_key(mem, k)).collect();
 
     for _ in 0..200 {

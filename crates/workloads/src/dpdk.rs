@@ -5,7 +5,7 @@
 //! Each query is a packet classification: a small amount of packet-parsing
 //! work around one hash lookup.
 
-use crate::{query_indices, QueryJob, StructureMutator, Workload};
+use crate::{numbered_key, query_indices, QueryJob, StructureMutator, Workload};
 use qei_cpu::Trace;
 use qei_datastructs::{stage_key, CuckooHash, QueryDs};
 use qei_mem::GuestMem;
@@ -13,12 +13,12 @@ use qei_mem::GuestMem;
 /// Key length: 16 bytes (IPv4 5-tuple padded).
 pub const KEY_LEN: usize = 16;
 
-fn flow_key(i: u64) -> Vec<u8> {
-    format!("flow:{i:011}").into_bytes()
+fn flow_key(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"flow:", i, 11, 0)
 }
 
-fn miss_key(i: u64) -> Vec<u8> {
-    format!("miss:{i:011}").into_bytes()
+fn miss_key(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"miss:", i, 11, 0)
 }
 
 /// The FIB lookup benchmark.
@@ -66,7 +66,7 @@ impl DpdkFib {
                 key_addr: ka,
             });
             expected.push(table.query_software(mem, &key));
-            keys.push(key);
+            keys.push(key.to_vec());
         }
         DpdkFib {
             table,

@@ -9,7 +9,7 @@
 //! We use the chained-hash structure for the LSH buckets (FLANN's tables are
 //! bucketed with chaining) and 20-byte binary descriptors as keys.
 
-use crate::{query_indices, QueryJob, Workload};
+use crate::{numbered_key, query_indices, QueryJob, Workload};
 use qei_cpu::Trace;
 use qei_datastructs::{stage_key, ChainedHash, QueryDs};
 use qei_mem::GuestMem;
@@ -17,16 +17,12 @@ use qei_mem::GuestMem;
 /// Key length: 20-byte LSH descriptor.
 pub const KEY_LEN: usize = 20;
 
-fn descriptor(i: u64) -> Vec<u8> {
-    let mut k = format!("desc{i:012}").into_bytes();
-    k.resize(KEY_LEN, b'#');
-    k
+fn descriptor(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"desc", i, 12, b'#')
 }
 
-fn absent_descriptor(i: u64) -> Vec<u8> {
-    let mut k = format!("none{i:012}").into_bytes();
-    k.resize(KEY_LEN, b'?');
-    k
+fn absent_descriptor(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"none", i, 12, b'?')
 }
 
 /// The LSH similarity-search benchmark.

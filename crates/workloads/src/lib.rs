@@ -178,9 +178,45 @@ pub(crate) fn query_indices(
         .collect()
 }
 
+/// Shared helper: the `N`-byte key spelled `prefix`, then `i` as `digits`
+/// zero-padded decimal digits, then `pad` bytes up to `N` — the bytes of
+/// `format!("{prefix}{i:0digits$}")` resized to `N`, built on the stack.
+///
+/// # Panics
+///
+/// Panics if `i` needs more than `digits` digits or the label does not fit
+/// in `N` bytes.
+pub(crate) fn numbered_key<const N: usize>(
+    prefix: &[u8],
+    i: u64,
+    digits: usize,
+    pad: u8,
+) -> [u8; N] {
+    let mut k = [pad; N];
+    let (label, rest) = k.split_at_mut(prefix.len());
+    label.copy_from_slice(prefix);
+    let mut n = i;
+    for d in rest[..digits].iter_mut().rev() {
+        *d = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    assert_eq!(n, 0, "{i} has more than {digits} digits");
+    k
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbered_keys_spell_the_formatted_label() {
+        for i in [0, 7, 42, 99_999, 123_456_789_012] {
+            let mut want = format!("desc{i:012}").into_bytes();
+            want.resize(20, b'#');
+            assert_eq!(numbered_key::<20>(b"desc", i, 12, b'#'), *want);
+        }
+        assert_eq!(numbered_key::<16>(b"flow:", 5, 11, 0), *b"flow:00000000005");
+    }
 
     #[test]
     fn query_indices_respect_hit_rate() {

@@ -8,7 +8,7 @@
 //! management), so the core's ROB fills with that work behind a blocking
 //! query and limits the accelerator's usable parallelism.
 
-use crate::{query_indices, QueryJob, StructureMutator, Workload};
+use crate::{numbered_key, query_indices, QueryJob, StructureMutator, Workload};
 use qei_cpu::Trace;
 use qei_datastructs::{stage_key, QueryDs, SkipList};
 use qei_mem::{GuestMem, VirtAddr};
@@ -18,16 +18,12 @@ pub const KEY_LEN: usize = 100;
 /// Value payload size: 900 bytes.
 pub const VALUE_LEN: u64 = 900;
 
-fn db_key(i: u64) -> Vec<u8> {
-    let mut k = format!("user{i:016}").into_bytes();
-    k.resize(KEY_LEN, b'0');
-    k
+fn db_key(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"user", i, 16, b'0')
 }
 
-fn absent_key(i: u64) -> Vec<u8> {
-    let mut k = format!("zzzz{i:016}").into_bytes();
-    k.resize(KEY_LEN, b'9');
-    k
+fn absent_key(i: u64) -> [u8; KEY_LEN] {
+    numbered_key(b"zzzz", i, 16, b'9')
 }
 
 /// The memtable-lookup benchmark.

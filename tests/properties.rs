@@ -253,7 +253,7 @@ fn guest_memory_read_write_round_trip() {
         let offset = rng.below(5_000);
         let base = mem.alloc(8_192, 8).unwrap();
         mem.write(base + offset, &data).unwrap();
-        let got = mem.read_vec(base + offset, data.len()).unwrap();
+        let got = mem.bytes(base + offset, data.len()).unwrap();
         assert_eq!(got, data, "case {case}");
     }
 }
